@@ -17,7 +17,7 @@
 //! ```text
 //! cargo run -p rpm-bench --release --bin incremental_mining -- \
 //!     [--scale 0.25] [--seed 5] [--chunks 5] [--reps 3] \
-//!     [--batch-sizes 1,10,100,1000] [--out BENCH_incremental.json]
+//!     [--batch-sizes 1,10,100,1000] [--out <workspace root>/BENCH_incremental.json]
 //! ```
 
 #![deny(deprecated)]
@@ -85,7 +85,10 @@ fn main() {
     let args = HarnessArgs::from_env();
     let chunks = args.get_usize("chunks", 5).max(1);
     let reps = args.get_usize("reps", 3).max(1);
-    let out_path = args.get("out").unwrap_or("BENCH_incremental.json");
+    // The report belongs at the workspace root whatever directory the
+    // bench is started from.
+    let default_out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_incremental.json");
+    let out_path = args.get("out").unwrap_or(default_out);
     let batch_sizes: Vec<usize> = args
         .get("batch-sizes")
         .unwrap_or("1,10,100,1000")

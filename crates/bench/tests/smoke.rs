@@ -57,7 +57,9 @@ fn ablations_run() {
 
 #[test]
 fn extension_binaries_run() {
-    let out = run("incremental_mining", &["--scale", "0.02", "--chunks", "2"]);
+    // An explicit `--out`: the default is the committed workspace-root report.
+    let report = concat!(env!("CARGO_TARGET_TMPDIR"), "/BENCH_incremental_smoke.json");
+    let out = run("incremental_mining", &["--scale", "0.02", "--chunks", "2", "--out", report]);
     assert!(out.contains("identical outputs"));
     let out = run("scalability", &["--seed", "7", "--steps", "2", "--max-scale", "0.04"]);
     assert!(out.contains("|TDB|"));

@@ -9,8 +9,14 @@
 //! count — is everything needed to continue the computation without
 //! revisiting the prefix ([`ScanCheckpoint`]). [`crate::PatternStore`] keeps
 //! one checkpoint per **item** (plus the item's posting-list length at the
-//! snapshot, which bounds its dirty tail) and a cache of checkpoints for the
-//! multi-item candidates previous delta mines examined. A cache miss is
+//! snapshot, which bounds its dirty tail) and a cache of checkpoints for
+//! multi-item sets. A full mine captures both as by-products of scans it
+//! runs anyway: the RP-list scan over the transactions yields every item's
+//! state ([`crate::rplist::RpList::build_with_checkpoints`]), and RP-growth,
+//! which already runs every emitted pattern's whole `TS^X` scan, records
+//! that scan's state just before `finish` ([`crate::growth::Exec::capture`]).
+//! Delta mines then advance the stored states over the appended tail and
+//! cache those of the candidates they examined. A cache miss is
 //! never unsound: [`cooccurrence_ts`] rebuilds the candidate's full
 //! timestamp list by intersecting its members' postings and the scan starts
 //! from an empty checkpoint.
@@ -25,7 +31,7 @@ use crate::pattern::PeriodicInterval;
 /// Erec/Rec scan state at the pre-append boundary plus the interesting
 /// intervals closed so far and the posting-list length, so both the
 /// singleton measures and the dirty-tail cost model resume in O(1).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct ItemCheckpoint {
     /// Resumable scan state (last interval endpoint, running recurrence
     /// accumulators, support count).
@@ -39,12 +45,16 @@ pub(crate) struct ItemCheckpoint {
 
 /// Resumable state of one multi-item candidate, cached by
 /// [`crate::PatternStore`] across delta mines.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct PatternCheckpoint {
     pub ck: ScanCheckpoint,
     /// All interesting intervals closed before the boundary.
     pub intervals: Vec<PeriodicInterval>,
 }
+
+/// Resumable scan states of multi-item sets, keyed by the set's (sorted)
+/// items.
+pub(crate) type PatternStates = Vec<(Vec<ItemId>, PatternCheckpoint)>;
 
 /// What advancing a checkpointed scan over an appended suffix produced: the
 /// finished full-stream measures plus the state to checkpoint for the next
@@ -111,9 +121,11 @@ pub(crate) fn cooccurrence_ts(miner: &IncrementalMiner, items: &[ItemId]) -> Vec
     out
 }
 
-/// Rebuilds every item's checkpoint from scratch by rescanning its postings
-/// — the full-refresh path, O(total incidences). Delta refreshes instead
-/// advance only the dirty items' checkpoints via [`advance`].
+/// Rebuilds every item's checkpoint from scratch by rescanning its postings,
+/// O(total incidences) — the test oracle for the checkpoints a full mine
+/// captures ([`crate::rplist::RpList::build_with_checkpoints`]). Delta
+/// refreshes advance only the dirty items' checkpoints via [`advance`].
+#[cfg(test)]
 pub(crate) fn rebuild_item_checkpoints(miner: &IncrementalMiner) -> Vec<ItemCheckpoint> {
     let (per, min_ps) = (miner.params().per, miner.params().min_ps);
     let mut scan = RecurrenceScan::new();

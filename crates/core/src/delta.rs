@@ -39,21 +39,23 @@
 //! first-win abort, output bit-identical to the sequential path.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use rpm_timeseries::{ItemId, Timestamp};
 
 use crate::checkpoint::{
-    advance, cooccurrence_ts, rebuild_item_checkpoints, ItemCheckpoint, PatternCheckpoint,
+    advance, cooccurrence_ts, ItemCheckpoint, PatternCheckpoint, PatternStates,
 };
 use crate::engine::control::{AbortReason, ControlProbe};
+use crate::engine::observer::NOOP;
 use crate::engine::RunControl;
-use crate::growth::{MineScratch, MiningResult, MiningStats};
+use crate::growth::{mine_engine, Capture, Exec, MineScratch, MiningResult, MiningStats};
 use crate::incremental::IncrementalMiner;
 use crate::measures::{RecurrenceScan, ScanCheckpoint};
 use crate::parallel::AbortCell;
 use crate::params::ResolvedParams;
-use crate::pattern::{canonical_order, RecurringPattern};
+use crate::pattern::{canonical_cmp, canonical_order, RecurringPattern};
+use crate::rplist::RpList;
 
 /// Fallback threshold of the tail cost model: the delta path re-measures
 /// the dirty candidates by scanning their tail postings, so its work is
@@ -66,9 +68,11 @@ use crate::pattern::{canonical_order, RecurringPattern};
 /// frequent the dirty items are in the prefix.
 pub const DELTA_TAIL_BUDGET_PCT: usize = 30;
 
-/// Upper bound on retained multi-item scan checkpoints. The resume cache is
-/// exactly that — a cache: when it grows past this many entries at a
-/// refresh it is cleared, and later misses rebuild states by posting-list
+/// Upper bound on retained scan checkpoints of examined-but-not-emitted
+/// multi-item candidates. The resume cache is exactly that — a cache: when
+/// it holds more than this many states beyond the snapshot's own patterns'
+/// ones at a refresh, it is trimmed to the latter (the ones the next delta
+/// resumes), and later misses rebuild the dropped states by posting-list
 /// intersection (exact, just slower).
 pub const RESUME_CACHE_MAX: usize = 65536;
 
@@ -195,9 +199,10 @@ pub struct PatternStore {
     item_patterns: Vec<Vec<u32>>,
     /// Per-item measure checkpoints at the snapshot boundary.
     checkpoints: Vec<ItemCheckpoint>,
-    /// Resumable scan states of the multi-item candidates previous delta
-    /// mines examined (emitted or not). A cache: misses rebuild the state
-    /// by posting-list intersection.
+    /// Resumable scan states of the snapshot's multi-item patterns (captured
+    /// inside growth by a full mine, advanced by delta mines) plus those of
+    /// the candidates previous delta mines examined without emitting. A
+    /// cache: misses rebuild the state by posting-list intersection.
     resume: HashMap<Vec<ItemId>, PatternCheckpoint>,
 }
 
@@ -256,28 +261,33 @@ impl PatternStore {
         }
     }
 
-    /// Refresh after a full batch mine: every checkpoint is rebuilt from
-    /// scratch — per-item states by rescanning postings, the multi-item
-    /// resume cache by intersecting each stored pattern's posting lists —
-    /// so the very next delta already resumes instead of intersecting.
-    fn refresh_full(&mut self, miner: &IncrementalMiner, result: &MiningResult) {
+    /// Refresh after a full mine ([`IncrementalMiner::mine_capturing`]):
+    /// installs the checkpoints that mine captured — every item's from the
+    /// RP-list scan, every emitted multi-item pattern's from growth, with
+    /// the closed intervals taken from the stored pattern — so no posting
+    /// list is rescanned or intersected, and the very next delta already
+    /// resumes instead of intersecting.
+    fn refresh_full(
+        &mut self,
+        miner: &IncrementalMiner,
+        result: &MiningResult,
+        items: Vec<ItemCheckpoint>,
+        capture: Capture,
+    ) {
         self.refresh_header(miner, result);
-        self.checkpoints = rebuild_item_checkpoints(miner);
+        self.checkpoints = items;
         self.resume.clear();
-        let params = miner.params();
-        let mut scan = RecurrenceScan::new();
-        for p in &self.patterns {
-            if p.items.len() < 2 {
-                continue;
+        self.resume.reserve(capture.states.len());
+        let mut flat = capture.items.as_slice();
+        for (len, ck) in capture.states {
+            let key = flat.get(..len).unwrap_or_default();
+            flat = flat.get(len..).unwrap_or_default();
+            let found = self.patterns.binary_search_by(|p| canonical_cmp(&p.items, key));
+            if let Some(p) = found.ok().and_then(|i| self.patterns.get(i)) {
+                let closed = p.intervals.get(..ck.summary.interesting).unwrap_or_default();
+                let state = PatternCheckpoint { ck, intervals: closed.to_vec() };
+                self.resume.insert(p.items.clone(), state);
             }
-            scan.reset(params.per, params.min_ps);
-            for ts in cooccurrence_ts(miner, &p.items) {
-                scan.feed(ts);
-            }
-            self.resume.insert(
-                p.items.clone(),
-                PatternCheckpoint { ck: scan.checkpoint(), intervals: scan.intervals().to_vec() },
-            );
         }
     }
 
@@ -291,7 +301,7 @@ impl PatternStore {
         result: &MiningResult,
         dirty: &[ItemId],
         window_start: usize,
-        updates: Vec<(Vec<ItemId>, PatternCheckpoint)>,
+        updates: PatternStates,
     ) {
         let params = miner.params();
         self.refresh_header(miner, result);
@@ -325,9 +335,24 @@ impl PatternStore {
                 self.resume.insert(items, state);
             }
         }
-        if self.resume.len() > RESUME_CACHE_MAX {
-            self.resume.clear();
+        self.trim_resume(RESUME_CACHE_MAX);
+    }
+
+    /// Bounds the resume cache: once it holds more than `cap` states beyond
+    /// those of the snapshot's multi-item patterns (the hot set the next
+    /// delta resumes), it drops the examined-but-not-emitted ones and keeps
+    /// the hot set. The cap counts only the non-emitted states, so a
+    /// snapshot with more patterns than `cap` is not re-trimmed on every
+    /// refresh.
+    fn trim_resume(&mut self, cap: usize) {
+        let stored = self.patterns.iter().filter(|p| p.items.len() >= 2).count();
+        if self.resume.len() <= cap.saturating_add(stored) {
+            return;
         }
+        let patterns = &self.patterns;
+        self.resume.retain(|items, _| {
+            patterns.binary_search_by(|p| canonical_cmp(&p.items, items)).is_ok()
+        });
     }
 }
 
@@ -488,9 +513,11 @@ impl IncrementalMiner {
         let plan = self.delta_plan(store);
         match plan.action {
             Action::Full(reason) => {
-                let (result, abort) = self.mine_controlled(control, scratch);
+                // An aborted mine leaves the store at its previous snapshot
+                // and drops whatever states it captured before the trip.
+                let (result, abort, items, capture) = self.mine_capturing(control, scratch);
                 if abort.is_none() {
-                    store.refresh_full(self, &result);
+                    store.refresh_full(self, &result, items, capture);
                 }
                 (result, abort, plan.stats(DeltaMode::Full(reason)))
             }
@@ -502,6 +529,31 @@ impl IncrementalMiner {
             }
             Action::Delta => self.mine_frontier(store, control, scratch, plan, threads),
         }
+    }
+
+    /// The full path: a batch mine of the whole stream that captures the
+    /// store's checkpoints where the scans already run. The RP-list comes
+    /// from one scan of the transactions, as in a batch mine (so growth
+    /// reuses its retained singleton scans), and that scan also yields
+    /// every item's checkpoint; growth records every emitted multi-item
+    /// pattern's scan state just before finishing it.
+    fn mine_capturing(
+        &self,
+        control: &RunControl,
+        scratch: &mut MineScratch,
+    ) -> (MiningResult, Option<AbortReason>, Vec<ItemCheckpoint>, Capture) {
+        let params = self.params();
+        let (list, items) = RpList::build_with_checkpoints(self.db(), params);
+        let done = AtomicUsize::new(0);
+        let mut exec = Exec {
+            probe: control.start(),
+            observer: &NOOP,
+            done: &done,
+            total: list.len(),
+            capture: Some(Capture::default()),
+        };
+        let (result, abort) = mine_engine(self.db(), &list, params, scratch, &mut exec);
+        (result, abort, items, exec.capture.unwrap_or_default())
     }
 
     /// The delta path proper: tail-window enumeration, checkpointed
@@ -547,7 +599,7 @@ impl IncrementalMiner {
                 std::cmp::Reverse(frontier.tails[r as usize].len() as u64 * (u64::from(r) + 1))
             });
             let order = &order;
-            let cursor = &std::sync::atomic::AtomicUsize::new(0);
+            let cursor = &AtomicUsize::new(0);
             let halt = &AtomicBool::new(false);
             let abort_cell = &AbortCell::new();
             let frontier = &frontier;
@@ -646,15 +698,12 @@ impl IncrementalMiner {
         // Canonical-order merge (both inputs are already canonical; the sets
         // are disjoint: retained patterns were not examined, fresh ones
         // all were).
-        let canonical = |a: &RecurringPattern, b: &RecurringPattern| {
-            a.items.len().cmp(&b.items.len()).then_with(|| a.items.cmp(&b.items))
-        };
         let mut merged: Vec<RecurringPattern> =
             Vec::with_capacity(retained.len() + out.fresh.len());
         let mut fi = out.fresh.into_iter().peekable();
         for p in retained {
             while let Some(f) = fi.peek() {
-                if canonical(f, p) == std::cmp::Ordering::Less {
+                if canonical_cmp(&f.items, &p.items) == std::cmp::Ordering::Less {
                     let f = fi.next().expect("peeked");
                     merged.push(f);
                 } else {
@@ -690,7 +739,7 @@ struct Frontier<'a> {
 #[derive(Default)]
 struct RegionOut {
     fresh: Vec<RecurringPattern>,
-    updates: Vec<(Vec<ItemId>, PatternCheckpoint)>,
+    updates: PatternStates,
     examined: usize,
     hits: usize,
     max_depth: usize,
@@ -1210,6 +1259,257 @@ mod tests {
         let batch = mine_resolved(miner.db(), params);
         for p in &result.patterns {
             assert!(batch.patterns.contains(p), "partial result contains only true patterns");
+        }
+    }
+
+    /// Asserts the store holds exactly the checkpoints a refresh would
+    /// rebuild from the postings: every item's state rescanned, every
+    /// stored multi-item pattern's state rescanned from `cooccurrence_ts`.
+    fn assert_rebuildable(miner: &IncrementalMiner, store: &PatternStore, ctx: &str) {
+        let items = crate::checkpoint::rebuild_item_checkpoints(miner);
+        assert_eq!(store.checkpoints, items, "{ctx}: item checkpoints");
+        let params = miner.params();
+        let mut scan = RecurrenceScan::new();
+        let patterns: HashMap<Vec<ItemId>, PatternCheckpoint> = store
+            .patterns
+            .iter()
+            .filter(|p| p.items.len() >= 2)
+            .map(|p| {
+                scan.reset(params.per, params.min_ps);
+                for ts in cooccurrence_ts(miner, &p.items) {
+                    scan.feed(ts);
+                }
+                let state = PatternCheckpoint {
+                    ck: scan.checkpoint(),
+                    intervals: scan.intervals().to_vec(),
+                };
+                (p.items.clone(), state)
+            })
+            .collect();
+        assert_eq!(store.resume, patterns, "{ctx}: pattern checkpoints");
+    }
+
+    /// Appends `n` seeded transactions over `items` labels. Timestamp steps
+    /// of 0 merge into the previous transaction, so the streams exercise
+    /// same-timestamp merges, including into a snapshot's boundary.
+    fn random_appends(
+        miner: &mut IncrementalMiner,
+        rng: &mut rpm_timeseries::prng::Pcg32,
+        ts: &mut i64,
+        n: usize,
+        items: usize,
+    ) {
+        for _ in 0..n {
+            *ts += rng.random_range(0..3i64);
+            let labels: Vec<String> =
+                (0..items).filter(|_| rng.random_f64() < 0.45).map(|i| format!("i{i}")).collect();
+            let refs: Vec<&str> = labels.iter().map(String::as_str).collect();
+            if !refs.is_empty() {
+                miner.append(*ts, &refs).unwrap();
+            }
+        }
+    }
+
+    /// Checkpoint hits a delta after `before` must count: one per dirty
+    /// candidate holding a per-item checkpoint, plus one per stored
+    /// multi-item pattern co-occurring in the tail window (each is examined,
+    /// and must resume from the store rather than intersect). Returned as
+    /// `(singleton hits, pattern hits)`.
+    fn expected_hits(
+        miner: &IncrementalMiner,
+        before: &PatternStore,
+        stats: &DeltaStats,
+    ) -> (usize, usize) {
+        let window = &miner.db().transactions()[miner.len() - stats.touched_transactions..];
+        let mut dirty: Vec<ItemId> =
+            window.iter().flat_map(|t| t.items().iter().copied()).collect();
+        dirty.sort_unstable();
+        dirty.dedup();
+        let singles = dirty
+            .iter()
+            .filter(|&&i| miner.scan_summary(i).is_some_and(|s| s.erec >= miner.params().min_rec))
+            .filter(|i| {
+                before
+                    .checkpoints
+                    .get(i.index())
+                    .is_some_and(|c| c.postings_len > 0 || c.ck.open.is_some())
+            })
+            .count();
+        let patterns = before
+            .patterns
+            .iter()
+            .filter(|p| p.items.len() >= 2)
+            .filter(|p| window.iter().any(|t| p.items.iter().all(|i| t.items().contains(i))))
+            .count();
+        (singles, patterns)
+    }
+
+    #[test]
+    fn full_mines_capture_the_states_intersection_would_rebuild() {
+        // Differential check of the full-path capture: after every full
+        // refresh (cold store, frontier fallback) the item checkpoints and
+        // the resume cache equal the ones rebuilt by rescanning postings and
+        // intersecting each stored pattern's postings, and the first delta
+        // after it resumes every stored multi-item pattern it examines
+        // instead of intersecting.
+        use rpm_timeseries::prng::Pcg32;
+        let mut captured = 0usize;
+        let mut resumed_patterns = 0usize;
+        for seed in 0..10u64 {
+            let mut rng = Pcg32::seed_from_u64(100 + seed);
+            let params = ResolvedParams::new(
+                rng.random_range(1..4i64),
+                rng.random_range(1..4usize),
+                rng.random_range(1..3usize),
+            );
+            let mut miner = IncrementalMiner::new(params);
+            let mut store = PatternStore::new();
+            let mut ts = 0i64;
+            random_appends(&mut miner, &mut rng, &mut ts, 160, 7);
+            let (result, stats) = miner.mine_delta(&mut store);
+            assert_eq!(stats.mode, DeltaMode::Full(FullReason::ColdStore));
+            assert_bit_identical(&miner, &result, "cold mine");
+            assert_rebuildable(&miner, &store, &format!("seed {seed}: cold capture"));
+            captured += store.resume.len();
+
+            for step in 0..4 {
+                let before = store.clone();
+                random_appends(&mut miner, &mut rng, &mut ts, 1 + step % 3, 7);
+                let (result, stats) = miner.mine_delta(&mut store);
+                assert_bit_identical(&miner, &result, "delta after capture");
+                if stats.mode != DeltaMode::Delta {
+                    continue;
+                }
+                let (singles, patterns) = expected_hits(&miner, &before, &stats);
+                let multi = before.patterns.iter().filter(|p| p.items.len() >= 2).count();
+                if before.resume.len() == multi {
+                    // Only the stored patterns' states are cached (the first
+                    // delta after a full refresh): the count is exact.
+                    assert_eq!(
+                        stats.checkpoint_hits,
+                        singles + patterns,
+                        "seed {seed} step {step}"
+                    );
+                    resumed_patterns += patterns;
+                } else {
+                    // Later deltas also hit states of non-emitted candidates.
+                    assert!(stats.checkpoint_hits >= singles + patterns, "seed {seed} step {step}");
+                }
+            }
+
+            // A tail as long as the stream crosses the budget: the fallback
+            // refresh captures afresh.
+            let len = miner.len();
+            random_appends(&mut miner, &mut rng, &mut ts, len, 7);
+            let (result, stats) = miner.mine_delta(&mut store);
+            assert_eq!(stats.mode, DeltaMode::Full(FullReason::FrontierExceeded));
+            assert_bit_identical(&miner, &result, "frontier fallback");
+            assert_rebuildable(&miner, &store, &format!("seed {seed}: fallback"));
+        }
+        assert!(captured > 0, "the streams produced multi-item patterns");
+        assert!(resumed_patterns > 0, "deltas resumed captured multi-item states");
+    }
+
+    #[test]
+    fn aborted_cold_mine_leaves_the_store_cold() {
+        use crate::engine::CancelToken;
+        use rpm_timeseries::prng::Pcg32;
+        let params = ResolvedParams::new(2, 2, 1);
+        let mut miner = IncrementalMiner::new(params);
+        let mut rng = Pcg32::seed_from_u64(5);
+        let mut ts = 0i64;
+        random_appends(&mut miner, &mut rng, &mut ts, 400, 9);
+        let full = miner.mine();
+        let token = CancelToken::new();
+        token.cancel();
+        let mut controls = vec![
+            RunControl::new().with_cancel(token),
+            RunControl::new().with_timeout(std::time::Duration::ZERO),
+        ];
+        // Scratch budgets that trip mid-growth, after some multi-item
+        // patterns were emitted (and their states captured).
+        let peak = full.stats.scratch_bytes_peak;
+        controls.extend((1..8).map(|k| RunControl::new().with_scratch_budget(peak * k / 8)));
+        let mut mid_run = 0;
+        for control in &controls {
+            let mut store = PatternStore::new();
+            let (partial, abort, stats) =
+                miner.mine_delta_controlled(&mut store, control, &mut MineScratch::new(), 1);
+            assert_eq!(stats.mode, DeltaMode::Full(FullReason::ColdStore));
+            let Some(_) = abort else { continue };
+            assert!(!store.is_warm(), "an aborted cold mine leaves the store cold");
+            assert_eq!(store.checkpoint_count(), 0, "captured states are dropped");
+            for p in &partial.patterns {
+                assert!(full.patterns.contains(p), "partial results stay sound");
+            }
+            if partial.patterns.iter().any(|p| p.items.len() >= 2) {
+                mid_run += 1;
+            }
+            // The next unlimited call starts from the same cold store.
+            let (result, stats) = miner.mine_delta(&mut store);
+            assert_eq!(stats.mode, DeltaMode::Full(FullReason::ColdStore));
+            assert_eq!(result.patterns, full.patterns);
+            assert_rebuildable(&miner, &store, "after an aborted cold mine");
+        }
+        assert!(mid_run > 0, "some limit tripped after multi-item emissions");
+    }
+
+    #[test]
+    fn resume_overflow_trim_keeps_the_snapshot_patterns() {
+        // Deltas cache the states of examined-but-not-emitted candidates
+        // too; past the cap, the trim drops exactly those and keeps every
+        // stored pattern's state, so the next delta still resumes them.
+        use rpm_timeseries::prng::Pcg32;
+        let mut rng = Pcg32::seed_from_u64(9);
+        let params = ResolvedParams::new(2, 3, 2);
+        let mut miner = IncrementalMiner::new(params);
+        let mut store = PatternStore::new();
+        let mut ts = 0i64;
+        random_appends(&mut miner, &mut rng, &mut ts, 200, 7);
+        miner.mine_delta(&mut store);
+        let stored_multi = |store: &PatternStore| -> Vec<Vec<ItemId>> {
+            let mut keys: Vec<Vec<ItemId>> = store
+                .patterns
+                .iter()
+                .filter(|p| p.items.len() >= 2)
+                .map(|p| p.items.clone())
+                .collect();
+            keys.sort();
+            keys
+        };
+        let mut step = 0;
+        while store.resume.len() <= stored_multi(&store).len() {
+            random_appends(&mut miner, &mut rng, &mut ts, 2, 7);
+            let (result, _) = miner.mine_delta(&mut store);
+            assert_bit_identical(&miner, &result, "delta before the trim");
+            step += 1;
+            assert!(step < 50, "deltas cached non-emitted candidate states");
+        }
+        let before = store.resume.clone();
+        let stored = stored_multi(&store).len();
+        let non_emitted = before.len() - stored;
+        // The cap bounds only the non-emitted states: a cache over `cap`
+        // entries stays whole while those fit, however many patterns the
+        // snapshot stores.
+        assert!(before.len() > non_emitted && non_emitted >= 1);
+        store.trim_resume(non_emitted);
+        assert_eq!(store.resume, before, "at or under the cap nothing is dropped");
+
+        store.trim_resume(non_emitted - 1);
+        let mut kept: Vec<Vec<ItemId>> = store.resume.keys().cloned().collect();
+        kept.sort();
+        assert_eq!(kept, stored_multi(&store), "exactly the stored patterns' states remain");
+        for (items, state) in &store.resume {
+            assert_eq!(before.get(items), Some(state), "kept states are untouched");
+        }
+
+        let snapshot = store.clone();
+        random_appends(&mut miner, &mut rng, &mut ts, 2, 7);
+        let (result, stats) = miner.mine_delta(&mut store);
+        assert_bit_identical(&miner, &result, "delta after the trim");
+        if stats.mode == DeltaMode::Delta {
+            let (singles, patterns) = expected_hits(&miner, &snapshot, &stats);
+            assert_eq!(stats.checkpoint_hits, singles + patterns);
         }
     }
 

@@ -170,8 +170,13 @@ impl MiningSession {
             observer.on_phase(Phase::ListScan);
             let list = RpList::build(db, params);
             let done = AtomicUsize::new(0);
-            let mut exec =
-                Exec { probe: self.control.start(), observer, done: &done, total: list.len() };
+            let mut exec = Exec {
+                probe: self.control.start(),
+                observer,
+                done: &done,
+                total: list.len(),
+                capture: None,
+            };
             mine_engine(db, &list, params, scratch, &mut exec)
         };
         observer.on_complete(&result.stats, reason);

@@ -15,7 +15,7 @@ use rpm_timeseries::{ItemId, Timestamp, TransactionDb};
 
 use crate::engine::control::{AbortReason, ControlProbe};
 use crate::engine::observer::{Observer, Phase, NOOP};
-use crate::measures::{IntervalScan, RecurrenceScan, ScanSummary};
+use crate::measures::{IntervalScan, RecurrenceScan, ScanCheckpoint, ScanSummary};
 use crate::merge::MergeHeap;
 use crate::params::{ResolvedParams, RpParams};
 use crate::pattern::{canonical_order, RecurringPattern};
@@ -409,13 +409,32 @@ pub(crate) struct Exec<'e> {
     pub(crate) observer: &'e dyn Observer,
     pub(crate) done: &'e AtomicUsize,
     pub(crate) total: usize,
+    /// When set, every emitted multi-item pattern's pre-`finish` scan state
+    /// is recorded here, so a delta store's resume cache is filled where the
+    /// pattern's `TS^X` scan already ran instead of being re-derived by
+    /// posting-list intersection. `None` for batch mines, which pay nothing
+    /// for it.
+    pub(crate) capture: Option<Capture>,
+}
+
+/// The scan states a capturing mine recorded, one per emitted multi-item
+/// pattern, in emission order. Growth allocates nothing per pattern: the
+/// items go to one flat buffer, and the store rebuilds each state's key and
+/// closed intervals from the finished result, once growth has freed its
+/// buffers (states allocated between those buffers slowed later deltas).
+#[derive(Debug, Default)]
+pub(crate) struct Capture {
+    /// Every captured pattern's items, back to back.
+    pub(crate) items: Vec<ItemId>,
+    /// Per captured pattern: its item count and pre-`finish` scan state.
+    pub(crate) states: Vec<(usize, ScanCheckpoint)>,
 }
 
 impl<'e> Exec<'e> {
     /// An uncontrolled, unobserved context — what the classic entry points
     /// run under.
     pub(crate) fn unlimited(done: &'e AtomicUsize, total: usize) -> Exec<'e> {
-        Exec { probe: ControlProbe::unlimited(), observer: &NOOP, done, total }
+        Exec { probe: ControlProbe::unlimited(), observer: &NOOP, done, total, capture: None }
     }
 
     /// Reports one completed suffix region and the candidates it explored.
@@ -517,16 +536,17 @@ pub(crate) fn grow(
         let candidates_before = stats.candidates_checked;
         stats.candidates_checked += 1;
         let stored = if top { list.singleton(rank) } else { None };
-        let summary = match stored {
+        let (summary, ck) = match stored {
             Some((rec, _)) => {
                 let e = &list.candidates()[rank as usize];
-                ScanSummary { support: e.support, runs: 0, interesting: rec, erec: e.erec }
+                (ScanSummary { support: e.support, runs: 0, interesting: rec, erec: e.erec }, None)
             }
             None => {
                 let MineScratch { heap, scan, .. } = &mut *scratch;
                 scan.reset(params.per, params.min_ps);
                 tree.for_each_ts(rank, heap, |t| scan.feed(t));
-                scan.finish()
+                let ck = exec.capture.is_some().then(|| scan.checkpoint());
+                (scan.finish(), ck)
             }
         };
         if summary.erec >= params.min_rec {
@@ -540,7 +560,14 @@ pub(crate) fn grow(
                     Some((_, intervals)) => intervals.to_vec(),
                     None => scratch.scan.intervals().to_vec(),
                 };
-                out.push(RecurringPattern::new(suffix.clone(), summary.support, intervals));
+                let pattern = RecurringPattern::new(suffix.clone(), summary.support, intervals);
+                if let (Some(sink), Some(ck)) = (exec.capture.as_mut(), ck) {
+                    if pattern.items.len() >= 2 {
+                        sink.items.extend_from_slice(&pattern.items);
+                        sink.states.push((pattern.items.len(), ck));
+                    }
+                }
+                out.push(pattern);
             }
             // Conditional pattern base → conditional tree, keeping only the
             // prefix items whose Erec (within this projection) can still

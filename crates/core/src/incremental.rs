@@ -215,29 +215,6 @@ impl IncrementalMiner {
         let list = RpList::from_summaries(summaries, self.db.item_count(), self.params.min_rec);
         mine_with_scratch_impl(&self.db, &list, self.params, scratch)
     }
-
-    /// Like [`IncrementalMiner::mine`], under engine control: re-mining a
-    /// live stream obeys `control`'s limits and reports a sound partial
-    /// result (with the trip reason) when one fires — the shape interactive
-    /// re-mining needs when a hostile threshold makes a refresh explode.
-    pub fn mine_controlled(
-        &self,
-        control: &crate::engine::RunControl,
-        scratch: &mut MineScratch,
-    ) -> (MiningResult, Option<crate::engine::AbortReason>) {
-        use crate::engine::observer::NOOP;
-        use crate::growth::{mine_engine, Exec};
-        let summaries = self
-            .scans
-            .iter()
-            .enumerate()
-            .map(|(i, scan)| (ItemId(i as u32), scan.clone().finish()));
-        let list = RpList::from_summaries(summaries, self.db.item_count(), self.params.min_rec);
-        let done = std::sync::atomic::AtomicUsize::new(0);
-        let mut exec =
-            Exec { probe: control.start(), observer: &NOOP, done: &done, total: list.len() };
-        mine_engine(&self.db, &list, self.params, scratch, &mut exec)
-    }
 }
 
 #[cfg(test)]

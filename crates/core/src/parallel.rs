@@ -166,7 +166,8 @@ pub(crate) fn mine_parallel_engine(
         let mut suffix: Vec<ItemId> = Vec::new();
         let mut patterns = Vec::new();
         let done = AtomicUsize::new(0);
-        let mut exec = Exec { probe: control.start(), observer, done: &done, total: n };
+        let mut exec =
+            Exec { probe: control.start(), observer, done: &done, total: n, capture: None };
         let aborted = grow(
             &mut tree,
             list,
@@ -215,6 +216,7 @@ pub(crate) fn mine_parallel_engine(
                         observer,
                         done,
                         total: n,
+                        capture: None,
                     };
                     loop {
                         if let Some(r) = exec.probe.poll_with(|| scratch.footprint_bytes()) {

@@ -4,6 +4,7 @@
 
 use rpm_timeseries::{ItemId, TransactionDb};
 
+use crate::checkpoint::ItemCheckpoint;
 use crate::measures::RecurrenceScan;
 use crate::params::ResolvedParams;
 use crate::pattern::PeriodicInterval;
@@ -48,47 +49,72 @@ impl RpList {
     /// miner would otherwise re-derive from the tree, and the miners reuse
     /// the retained result instead (see [`crate::growth`]).
     pub fn build(db: &TransactionDb, params: ResolvedParams) -> Self {
+        Self::build_impl(db, params, |_| {})
+    }
+
+    /// [`RpList::build`] that also returns every item's resumable scan
+    /// state at the end of `db`, indexed by item id — the per-item
+    /// checkpoints a delta store's full refresh needs, taken from the same
+    /// scan instead of a second pass over the postings.
+    pub(crate) fn build_with_checkpoints(
+        db: &TransactionDb,
+        params: ResolvedParams,
+    ) -> (Self, Vec<ItemCheckpoint>) {
+        let mut checkpoints = Vec::with_capacity(db.item_count());
+        let list = Self::build_impl(db, params, |scan| {
+            checkpoints.push(scan.map_or_else(ItemCheckpoint::default, |scan| {
+                // Each transaction holds an item once, so the support fed
+                // is the item's posting-list length.
+                let ck = scan.checkpoint();
+                let intervals = scan.intervals().to_vec();
+                ItemCheckpoint { ck, intervals, postings_len: ck.summary.support }
+            }));
+        });
+        (list, checkpoints)
+    }
+
+    /// The scan behind [`RpList::build`]. `on_item` sees every item's scan
+    /// state in id order (`None` for an item that never occurs) before the
+    /// scan is finished, i.e. while its last run is still open.
+    fn build_impl(
+        db: &TransactionDb,
+        params: ResolvedParams,
+        mut on_item: impl FnMut(Option<&RecurrenceScan>),
+    ) -> Self {
         let n_items = db.item_count();
         let mut scans: Vec<Option<RecurrenceScan>> = Vec::new();
         scans.resize_with(n_items, || None);
         for t in db.transactions() {
             let ts = t.timestamp();
             for &item in t.items() {
-                scans[item.index()]
-                    .get_or_insert_with(|| {
+                // Every item id is interned in `db`, so its slot exists.
+                if let Some(slot) = scans.get_mut(item.index()) {
+                    slot.get_or_insert_with(|| {
                         let mut s = RecurrenceScan::new();
                         s.reset(params.per, params.min_ps);
                         s
                     })
                     .feed(ts);
+                }
             }
         }
-        let mut candidates: Vec<RpListEntry> = Vec::new();
-        let mut raw: Vec<(usize, usize, Vec<PeriodicInterval>)> = Vec::new();
+        let mut found: Vec<(RpListEntry, (usize, Vec<PeriodicInterval>))> = Vec::new();
         for (idx, scan) in scans.iter_mut().enumerate() {
+            on_item(scan.as_ref());
             let Some(scan) = scan else { continue };
             let summary = scan.finish();
             if summary.erec >= params.min_rec {
-                candidates.push(RpListEntry {
+                let entry = RpListEntry {
                     item: ItemId(idx as u32),
                     support: summary.support,
                     erec: summary.erec,
-                });
-                raw.push((idx, summary.interesting, scan.intervals().to_vec()));
+                };
+                found.push((entry, (summary.interesting, scan.intervals().to_vec())));
             }
         }
-        // Line 16: descending support, deterministic tie-break on item id.
-        candidates.sort_by(|a, b| b.support.cmp(&a.support).then_with(|| a.item.cmp(&b.item)));
-        let mut rank = vec![None; n_items];
-        for (r, e) in candidates.iter().enumerate() {
-            rank[e.item.index()] = Some(r as u32);
-        }
-        let mut singletons: Vec<(usize, Vec<PeriodicInterval>)> =
-            vec![(0, Vec::new()); candidates.len()];
-        for (idx, rec, intervals) in raw {
-            let r = rank[idx].expect("every retained item has a rank") as usize;
-            singletons[r] = (rec, intervals);
-        }
+        found.sort_by(|(a, _), (b, _)| insertion_order(a, b));
+        let (candidates, singletons): (Vec<_>, Vec<_>) = found.into_iter().unzip();
+        let rank = ranks(&candidates, n_items);
         Self { candidates, rank, scanned_items: n_items, singletons: Some(singletons) }
     }
 
@@ -105,11 +131,8 @@ impl RpList {
             .filter(|(_, s)| s.erec >= min_rec)
             .map(|(item, s)| RpListEntry { item, support: s.support, erec: s.erec })
             .collect();
-        candidates.sort_by(|a, b| b.support.cmp(&a.support).then_with(|| a.item.cmp(&b.item)));
-        let mut rank = vec![None; n_items];
-        for (r, e) in candidates.iter().enumerate() {
-            rank[e.item.index()] = Some(r as u32);
-        }
+        candidates.sort_by(insertion_order);
+        let rank = ranks(&candidates, n_items);
         Self { candidates, rank, scanned_items: n_items, singletons: None }
     }
 
@@ -178,6 +201,24 @@ impl RpList {
         out.extend(items.iter().filter_map(|&i| self.rank(i)));
         out.sort_unstable();
     }
+}
+
+/// Algorithm 1, line 16: candidates by descending support, ties broken by
+/// ascending item id.
+fn insertion_order(a: &RpListEntry, b: &RpListEntry) -> std::cmp::Ordering {
+    b.support.cmp(&a.support).then_with(|| a.item.cmp(&b.item))
+}
+
+/// `item index -> rank` for candidates in insertion order.
+fn ranks(candidates: &[RpListEntry], n_items: usize) -> Vec<Option<u32>> {
+    let mut rank = vec![None; n_items];
+    for (r, e) in candidates.iter().enumerate() {
+        // Candidates are interned items, so every slot exists.
+        if let Some(slot) = rank.get_mut(e.item.index()) {
+            *slot = Some(r as u32);
+        }
+    }
+    rank
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@ cargo run -q -p rpm-lint --release --offline -- --json --baseline lint-baseline.
 cargo build --release --offline
 cargo build --examples --offline
 RUSTDOCFLAGS='-D warnings' cargo doc --no-deps --offline
-cargo test -q --offline
+cargo test --workspace -q --offline
 # Delta-mining smoke: one tiny rep of the incremental bench, which asserts
 # delta == batch bit-identity at every step before writing its report. The
 # 32-transaction batch exercises the checkpoint-resumed batch-append path.
